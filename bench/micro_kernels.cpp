@@ -292,9 +292,9 @@ void report_plan_layers(const serve::CompiledModel& plan, const char* kind,
 }
 
 /// Tuned-vs-untuned serving plan model: a conv stem plus three SCC stages
-/// whose N*Cout exec ranges sit at or above the kDefaultGrain parallelise
-/// threshold while the spatial work shrinks 8x8 -> 4x4 - the deep-layer
-/// regime where the static heuristic most needs measuring.
+/// whose spatial work shrinks 8x8 -> 4x4 while the channel counts stay
+/// wide - the deep-layer regime where the static work-size heuristic
+/// (device::kWorkGrain) most needs measuring.
 std::unique_ptr<nn::Sequential> build_plan_model(uint64_t seed) {
   Rng rng(seed);
   auto net = std::make_unique<nn::Sequential>();

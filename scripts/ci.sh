@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus the serving/tuning smoke benches.
 #
-#   scripts/ci.sh              - configure, build, ctest, smoke benches
+#   scripts/ci.sh              - configure, build, ctest (default pool, then
+#                                DSX_THREADS=2), smoke benches
 #                                (writes BENCH_serve_throughput.json,
 #                                 BENCH_shard_scaling.json,
 #                                 BENCH_deploy_swap.json,
@@ -48,6 +49,11 @@ echo "== tier-1 tests =="
 # --timeout backstops the per-test TIMEOUT property from CMakeLists: a
 # deadlocked batcher fails fast instead of hanging CI.
 ctest --test-dir build --output-on-failure -j"${JOBS}" --timeout 300
+
+echo "== tier-1 tests, 2-thread global pool =="
+# Again on a small pool: races between concurrent launches and nested
+# launches show up whatever the host size.
+DSX_THREADS=2 ctest --test-dir build --output-on-failure -j"${JOBS}" --timeout 300
 
 if [[ "${FAST}" != "1" ]]; then
   echo "== serve throughput (smoke, json) =="
@@ -142,8 +148,8 @@ if [[ "${FAST}" != "1" ]]; then
            kill "${SRV_PID}"; exit 1; }
 
     # Flight recorder end to end: the demo forces one genuinely slow request
-    # (execution lock held ~80 ms against a 50 ms threshold), so /outliers
-    # must carry a promoted capture with the per-phase span breakdown, a
+    # (an ~80 ms launch occupies the pool against a 50 ms threshold), so
+    # /outliers must carry a promoted capture with the per-phase span breakdown, a
     # fresh exposition scrape must attach its trace id as an OpenMetrics
     # exemplar on a native bucket line, and that id must resolve to real
     # span events in /trace. Poll briefly: the forced outlier runs right
@@ -323,9 +329,11 @@ if [[ "${SANITIZE}" == "1" ]]; then
   # tier runs only the obs primitives whose thread-safety must hold to the
   # letter: obs::intern() (concurrent span recorders dereference its
   # pointers forever), the exemplar seqlock (atomic payloads ordered by
-  # fences - a plain-field version was a real data race), and the
-  # thread-pool busy/idle accounting (relaxed counters read by concurrent
-  # pool_stats() snapshotters while workers accumulate).
+  # fences - a plain-field version was a real data race), the thread-pool
+  # busy/idle accounting (relaxed counters read by concurrent pool_stats()
+  # snapshotters while workers accumulate), and the pool's launch path
+  # (concurrent launchers on the launch mutex, nested launches, chunks
+  # claimed through a tagged atomic counter).
   echo "== configure (TSan Debug) =="
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DDSX_SANITIZE_THREAD=ON
 
@@ -335,8 +343,9 @@ if [[ "${SANITIZE}" == "1" ]]; then
   echo "== obs intern + exemplar-seqlock tests (TSan) =="
   ./build-tsan/test_obs --gtest_filter='Intern.*:ExemplarSeqlock.*'
 
-  echo "== thread-pool accounting tests (TSan) =="
-  ./build-tsan/test_device --gtest_filter='PoolAccounting.*'
+  echo "== thread-pool launch + accounting tests (TSan) =="
+  ./build-tsan/test_device \
+    --gtest_filter='ThreadPool.*:WorkSizedLaunch.*:PoolScope.*:PoolAccounting.*'
 
   echo "== net ingress + residency tests (TSan) =="
   # The whole suite is TSan-clean: the event thread owns all connection

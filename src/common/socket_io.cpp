@@ -88,6 +88,13 @@ void set_nonblocking(int fd) {
                   std::strerror(errno));
 }
 
+void set_nodelay(int fd) {
+  const int one = 1;
+  DSX_REQUIRE(
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) == 0,
+      std::string("sockio: setsockopt(TCP_NODELAY): ") + std::strerror(errno));
+}
+
 bool send_all(int fd, const void* data, size_t bytes) {
   const char* p = static_cast<const char*>(data);
   size_t sent = 0;

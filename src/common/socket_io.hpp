@@ -40,6 +40,11 @@ void set_io_timeout(int fd, std::chrono::milliseconds timeout);
 /// Puts the fd in non-blocking mode (the event-loop side of dsx::net).
 void set_nonblocking(int fd);
 
+/// Sets TCP_NODELAY: small writes (reply frames) leave at once instead of
+/// waiting, under Nagle's algorithm, for the peer to ACK earlier data.
+/// Throws dsx::Error when the option cannot be set.
+void set_nodelay(int fd);
+
 /// Sends the whole buffer (MSG_NOSIGNAL; retries short writes). Returns
 /// false on error/timeout - the peer's loss, never a throw.
 bool send_all(int fd, const void* data, size_t bytes);

@@ -3,7 +3,8 @@
 // One version = one immutable directory of artifacts:
 //
 //   <root>/<model>/<version>/manifest.bin   versioned manifest (magic "DSXM")
-//                            weights.bin    nn::checkpoint ("DSXC")
+//                            weights.bin    nn::checkpoint ("DSXK"): params
+//                                           and BatchNorm running statistics
 //                            tuning.bin     dsx::tune cache ("DSXU"), optional
 //
 // The manifest records the rebuildable ArchSpec plus, for every artifact,

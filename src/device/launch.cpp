@@ -52,6 +52,11 @@ std::vector<KernelRecord> KernelProfileScope::records() const {
   return KernelLog::instance().snapshot();
 }
 
+double modeled_work(int64_t threads, const KernelCosts& costs) {
+  return static_cast<double>(threads) *
+         (costs.flops_per_thread + costs.bytes_per_thread / sizeof(float));
+}
+
 namespace {
 
 void record_launch(const char* name, int64_t threads, const KernelCosts& costs,
@@ -71,7 +76,10 @@ void record_launch(const char* name, int64_t threads, const KernelCosts& costs,
 void launch_kernel(const char* name, int64_t threads, const KernelCosts& costs,
                    const std::function<void(int64_t)>& body) {
   const int64_t atomics_before = AtomicCounters::instance().adds();
-  parallel_for(threads, body);
+  parallel_for_work(threads, modeled_work(threads, costs),
+                    [&](int64_t b, int64_t e) {
+                      for (int64_t i = b; i < e; ++i) body(i);
+                    });
   record_launch(name, threads, costs, atomics_before);
 }
 
@@ -79,7 +87,7 @@ void launch_kernel_chunks(const char* name, int64_t threads,
                           const KernelCosts& costs,
                           const std::function<void(int64_t, int64_t)>& body) {
   const int64_t atomics_before = AtomicCounters::instance().adds();
-  parallel_for_chunks(threads, body);
+  parallel_for_work(threads, modeled_work(threads, costs), body);
   record_launch(name, threads, costs, atomics_before);
 }
 
@@ -88,7 +96,7 @@ void launch_kernel_chunks_modeled(
     const KernelCosts& costs,
     const std::function<void(int64_t, int64_t)>& body) {
   const int64_t atomics_before = AtomicCounters::instance().adds();
-  parallel_for_chunks(exec_range, body);
+  parallel_for_work(exec_range, modeled_work(model_threads, costs), body);
   record_launch(name, model_threads, costs, atomics_before);
 }
 

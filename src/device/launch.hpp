@@ -23,6 +23,10 @@ struct KernelCosts {
   double bytes_per_thread = 0.0;
 };
 
+/// Modeled work of a launch in device::kWorkGrain units: flops plus floats
+/// moved, over all model threads. Launches size their parallelism by it.
+double modeled_work(int64_t threads, const KernelCosts& costs);
+
 /// One recorded kernel launch.
 struct KernelRecord {
   std::string name;
@@ -67,7 +71,9 @@ class KernelProfileScope {
 
 /// Executes body(tid) for tid in [0, threads) on the pool, recording the
 /// launch when profiling is enabled. This is the single entry point all
-/// DSXplore kernels go through.
+/// DSXplore kernels go through. Every launch form sizes its parallelism by
+/// the modeled work `costs` declares (device::parallel_for_work): a launch
+/// too small to repay the pool hand-off runs on the calling thread.
 void launch_kernel(const char* name, int64_t threads, const KernelCosts& costs,
                    const std::function<void(int64_t)>& body);
 

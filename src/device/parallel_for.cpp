@@ -49,6 +49,19 @@ void parallel_for_chunks(int64_t total,
   ThreadPool::current().run_chunks(total, body);
 }
 
+void parallel_for_work(int64_t total, double work,
+                       const std::function<void(int64_t, int64_t)>& body) {
+  DSX_REQUIRE(total >= 0, "parallel_for_work: negative range");
+  if (total == 0) return;
+  const bool parallel = t_grain_override > 0 ? total >= t_grain_override
+                                             : total >= 2 && work >= kWorkGrain;
+  if (!parallel || ThreadPool::current().size() == 1) {
+    body(0, total);
+    return;
+  }
+  ThreadPool::current().run_chunks(total, body);
+}
+
 void parallel_for_2d(int64_t rows, int64_t cols,
                      const std::function<void(int64_t, int64_t)>& body,
                      int64_t grain) {

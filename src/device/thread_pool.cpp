@@ -28,6 +28,12 @@ std::vector<ThreadPool*>& named_pools() {
   return pools;
 }
 
+// Lane binding for the calling thread (see PoolScope); null = global pool.
+thread_local ThreadPool* t_current_pool = nullptr;
+// Pool whose chunk the calling thread is executing (a worker: its own pool,
+// for life). run_chunks on that pool from this thread is a nested launch.
+thread_local const ThreadPool* t_chunk_pool = nullptr;
+
 }  // namespace
 
 ThreadPool::ThreadPool(unsigned threads, std::string name)
@@ -35,10 +41,9 @@ ThreadPool::ThreadPool(unsigned threads, std::string name)
   unsigned n = threads;
   if (n == 0) n = std::max(1u, std::thread::hardware_concurrency());
   // The calling thread acts as worker 0; spawn n-1 helpers.
-  tasks_.resize(n > 0 ? n - 1 : 0);
-  workers_.reserve(tasks_.size());
-  for (unsigned i = 0; i < tasks_.size(); ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+  workers_.reserve(n - 1);
+  for (unsigned i = 0; i + 1 < n; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
   if (!name_.empty()) {
     std::lock_guard<std::mutex> lock(pools_mu());
@@ -70,15 +75,18 @@ std::vector<ThreadPool::PoolStats> ThreadPool::pool_stats() {
   return out;
 }
 
-void ThreadPool::worker_loop(unsigned worker_index) {
+void ThreadPool::worker_loop() {
+  // Kernels launched from inside a chunk stay on this pool (and so run
+  // inline) rather than falling through to the global pool.
+  t_current_pool = this;
+  t_chunk_pool = this;
   uint64_t seen_generation = 0;
   for (;;) {
-    Task task;
+    Launch launch;
     {
       std::unique_lock<std::mutex> lock(mu_);
       const auto ready = [&] {
-        return stop_ || (generation_ != seen_generation &&
-                         tasks_[worker_index].fn != nullptr);
+        return stop_ || generation_ != seen_generation;
       };
       if (pool_accounting_enabled()) {
         const int64_t t0 = mono_ns();
@@ -89,25 +97,38 @@ void ThreadPool::worker_loop(unsigned worker_index) {
       }
       if (stop_) return;
       seen_generation = generation_;
-      task = tasks_[worker_index];
-      tasks_[worker_index].fn = nullptr;
+      launch = launch_;
     }
-    std::exception_ptr err;
-    if (task.begin < task.end) {
-      const bool acct = pool_accounting_enabled();
-      const int64_t t0 = acct ? mono_ns() : 0;
-      try {
-        (*task.fn)(task.begin, task.end);
-      } catch (...) {
-        err = std::current_exception();
+    work_on(launch);
+  }
+}
+
+void ThreadPool::work_on(const Launch& launch) {
+  for (;;) {
+    uint64_t claim = claim_.load(std::memory_order_acquire);
+    do {
+      if (static_cast<uint32_t>(claim >> 32) != launch.tag ||
+          static_cast<int64_t>(claim & 0xffffffffu) >= launch.chunks) {
+        return;  // launch over, or every chunk already claimed
       }
-      if (acct) busy_ns_.fetch_add(mono_ns() - t0, std::memory_order_relaxed);
+    } while (!claim_.compare_exchange_weak(claim, claim + 1,
+                                           std::memory_order_acq_rel,
+                                           std::memory_order_acquire));
+    const int64_t begin =
+        static_cast<int64_t>(claim & 0xffffffffu) * launch.chunk;
+    const int64_t end = std::min(begin + launch.chunk, launch.total);
+    std::exception_ptr err;
+    const bool acct = pool_accounting_enabled();
+    const int64_t t0 = acct ? mono_ns() : 0;
+    try {
+      (*launch.fn)(begin, end);
+    } catch (...) {
+      err = std::current_exception();
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (err && !first_error_) first_error_ = err;
-      if (--pending_ == 0) cv_done_.notify_all();
-    }
+    if (acct) busy_ns_.fetch_add(mono_ns() - t0, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (err && !first_error_) first_error_ = err;
+    if (++done_ == launch.chunks) cv_done_.notify_all();
   }
 }
 
@@ -115,50 +136,45 @@ void ThreadPool::run_chunks(int64_t total,
                             const std::function<void(int64_t, int64_t)>& fn) {
   DSX_REQUIRE(total >= 0, "run_chunks: negative range");
   if (total == 0) return;
+  if (t_chunk_pool == this) {
+    // Nested launch: this thread already owns a chunk of the running launch,
+    // whose other chunks may be waiting on this thread; queueing behind it
+    // would deadlock.
+    fn(0, total);
+    return;
+  }
+  std::lock_guard<std::mutex> launch_lock(launch_mu_);
   const int64_t nthreads = static_cast<int64_t>(size());
-  const int64_t chunk = (total + nthreads - 1) / nthreads;
-
-  // Chunk 0 runs on the calling thread; the rest go to workers.
-  int64_t my_end = std::min<int64_t>(chunk, total);
+  Launch launch;
+  launch.fn = &fn;
+  launch.total = total;
+  launch.chunk = (total + nthreads - 1) / nthreads;
+  launch.chunks = (total + launch.chunk - 1) / launch.chunk;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    DSX_CHECK(pending_ == 0, "run_chunks is not reentrant");
+    DSX_CHECK(done_ == launch_.chunks,
+              "run_chunks: overlapping launches on one pool");
+    launch.tag = static_cast<uint32_t>(++generation_);
+    launch_ = launch;
+    done_ = 0;
     first_error_ = nullptr;
-    unsigned used = 0;
-    for (unsigned i = 0; i < tasks_.size(); ++i) {
-      const int64_t b = std::min<int64_t>(chunk * (i + 1), total);
-      const int64_t e = std::min<int64_t>(chunk * (i + 2), total);
-      tasks_[i] = Task{&fn, b, e};
-      ++used;
-    }
-    pending_ = used;
-    ++generation_;
+    claim_.store(static_cast<uint64_t>(launch.tag) << 32,
+                 std::memory_order_release);
   }
   cv_work_.notify_all();
 
-  std::exception_ptr my_err;
-  {
-    const bool acct = pool_accounting_enabled();
-    const int64_t t0 = acct ? mono_ns() : 0;
-    try {
-      if (my_end > 0) fn(0, my_end);
-    } catch (...) {
-      my_err = std::current_exception();
-    }
-    if (acct) busy_ns_.fetch_add(mono_ns() - t0, std::memory_order_relaxed);
-  }
+  const ThreadPool* saved_chunk_pool = t_chunk_pool;
+  t_chunk_pool = this;
+  work_on(launch);
+  t_chunk_pool = saved_chunk_pool;
 
+  std::exception_ptr err;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    cv_done_.wait(lock, [&] { return pending_ == 0; });
-    if (!first_error_ && my_err) first_error_ = my_err;
-    if (first_error_) {
-      std::exception_ptr err = first_error_;
-      first_error_ = nullptr;
-      std::rethrow_exception(err);
-    }
+    cv_done_.wait(lock, [&] { return done_ == launch.chunks; });
+    std::swap(err, first_error_);
   }
-  if (my_err) std::rethrow_exception(my_err);
+  if (err) std::rethrow_exception(err);
 }
 
 ThreadPool& ThreadPool::global() {
@@ -173,11 +189,6 @@ ThreadPool& ThreadPool::global() {
       "global");
   return pool;
 }
-
-namespace {
-// Lane binding for the calling thread (see PoolScope); null = global pool.
-thread_local ThreadPool* t_current_pool = nullptr;
-}  // namespace
 
 ThreadPool& ThreadPool::current() {
   return t_current_pool != nullptr ? *t_current_pool : global();

@@ -256,6 +256,9 @@ void IngressServer::accept_ready() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) return;  // EAGAIN or transient
     sockio::set_nonblocking(fd);
+    // Replies are small frames; without this, Nagle holds a reply behind
+    // the client's delayed ACK whenever an earlier one is unacknowledged.
+    sockio::set_nodelay(fd);
     if (opts_.so_sndbuf > 0) {
       ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &opts_.so_sndbuf,
                    sizeof(opts_.so_sndbuf));

@@ -70,6 +70,10 @@ void Sequential::collect_params(std::vector<Param*>& out) {
   for (auto& l : layers_) l->collect_params(out);
 }
 
+void Sequential::collect_buffers(std::vector<Buffer>& out) {
+  for (auto& l : layers_) l->collect_buffers(out);
+}
+
 Shape Sequential::output_shape(const Shape& input) const {
   Shape s = input;
   for (const auto& l : layers_) s = l->output_shape(s);
@@ -179,6 +183,11 @@ std::unique_ptr<Layer> Residual::clone() const {
 void Residual::collect_params(std::vector<Param*>& out) {
   main_->collect_params(out);
   if (shortcut_ != nullptr) shortcut_->collect_params(out);
+}
+
+void Residual::collect_buffers(std::vector<Buffer>& out) {
+  main_->collect_buffers(out);
+  if (shortcut_ != nullptr) shortcut_->collect_buffers(out);
 }
 
 Shape Residual::output_shape(const Shape& input) const {

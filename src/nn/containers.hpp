@@ -36,6 +36,7 @@ class Sequential final : public Layer {
   Tensor backward(const Tensor& doutput) override;
   Tensor forward_inference(const Tensor& input, Workspace& ws) override;
   void collect_params(std::vector<Param*>& out) override;
+  void collect_buffers(std::vector<Buffer>& out) override;
   Shape output_shape(const Shape& input) const override;
   scc::LayerCost cost(const Shape& input) const override;
   std::string name() const override { return "Sequential"; }
@@ -60,6 +61,7 @@ class Residual final : public Layer {
   Tensor backward(const Tensor& doutput) override;
   Tensor forward_inference(const Tensor& input, Workspace& ws) override;
   void collect_params(std::vector<Param*>& out) override;
+  void collect_buffers(std::vector<Buffer>& out) override;
   Shape output_shape(const Shape& input) const override;
   scc::LayerCost cost(const Shape& input) const override;
   std::string name() const override { return "Residual"; }

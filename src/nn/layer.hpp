@@ -18,6 +18,14 @@
 
 namespace dsx::nn {
 
+/// Non-trainable state a checkpoint carries beside the parameters (BatchNorm
+/// running statistics). `value` shares storage with the layer's own tensor
+/// (Tensor copies are shallow), so writing into it updates the layer.
+struct Buffer {
+  std::string name;
+  Tensor value;
+};
+
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -50,6 +58,10 @@ class Layer {
   /// Appends this layer's parameters (no-op for stateless layers).
   virtual void collect_params(std::vector<Param*>& out) { (void)out; }
 
+  /// Appends this layer's non-trainable state (no-op for layers that have
+  /// none). Containers descend, in the same order as collect_params.
+  virtual void collect_buffers(std::vector<Buffer>& out) { (void)out; }
+
   /// Output shape for a given input shape (shape inference, used to wire
   /// classifier heads and to drive the cost model).
   virtual Shape output_shape(const Shape& input) const = 0;
@@ -66,6 +78,12 @@ class Layer {
   std::vector<Param*> params() {
     std::vector<Param*> out;
     collect_params(out);
+    return out;
+  }
+
+  std::vector<Buffer> buffers() {
+    std::vector<Buffer> out;
+    collect_buffers(out);
     return out;
   }
 };

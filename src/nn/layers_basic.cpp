@@ -223,6 +223,11 @@ void BatchNorm2d::collect_params(std::vector<Param*>& out) {
   out.push_back(&beta_);
 }
 
+void BatchNorm2d::collect_buffers(std::vector<Buffer>& out) {
+  out.push_back({"bn.running_mean", state_.running_mean});
+  out.push_back({"bn.running_var", state_.running_var});
+}
+
 scc::LayerCost BatchNorm2d::cost(const Shape& input) const {
   (void)input;
   return scc::batchnorm_cost(channels_);

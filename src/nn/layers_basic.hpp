@@ -115,6 +115,8 @@ class BatchNorm2d final : public Layer {
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& doutput) override;
   void collect_params(std::vector<Param*>& out) override;
+  /// Running mean and variance.
+  void collect_buffers(std::vector<Buffer>& out) override;
   Shape output_shape(const Shape& input) const override { return input; }
   scc::LayerCost cost(const Shape& input) const override;
   std::string name() const override { return "BatchNorm2d"; }

@@ -1,7 +1,7 @@
 #include "ops/softmax_xent.hpp"
 
 #include <cmath>
-#include <mutex>
+#include <vector>
 
 #include "common/check.hpp"
 #include "device/launch.hpp"
@@ -46,22 +46,23 @@ XentResult softmax_cross_entropy(const Tensor& logits,
   XentResult res;
   res.dlogits = softmax(logits);
   const float invN = 1.0f / static_cast<float>(N);
-  double loss = 0.0;
-  std::mutex loss_mu;
+  // Per-row losses summed in row order afterwards, so the loss does not
+  // depend on how the rows were chunked.
+  std::vector<double> row_loss(static_cast<size_t>(N));
   device::launch_kernel_chunks(
       "xent", N, {4.0, 8.0}, [&](int64_t b, int64_t e) {
-        double local = 0.0;
         for (int64_t n = b; n < e; ++n) {
           float* row = res.dlogits.data() + n * K;
           const int32_t y = labels[static_cast<size_t>(n)];
           // -log p_y, clamped away from log(0).
-          local -= std::log(std::max(row[y], 1e-12f));
+          row_loss[static_cast<size_t>(n)] =
+              -std::log(std::max(row[y], 1e-12f));
           row[y] -= 1.0f;
           for (int64_t k = 0; k < K; ++k) row[k] *= invN;
         }
-        std::lock_guard<std::mutex> lock(loss_mu);
-        loss += local;
       });
+  double loss = 0.0;
+  for (const double l : row_loss) loss += l;
   res.loss = loss / static_cast<double>(N);
   return res;
 }

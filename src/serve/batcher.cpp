@@ -34,9 +34,9 @@ shard::DeadlineBatcherOptions to_deadline_options(const BatcherOptions& opts) {
   dopts.max_delay = opts.max_delay;
   dopts.queue_capacity = opts.queue_capacity;
   dopts.metric_model = opts.metric_model;
-  // lane stays null: global pool + process-wide execution lock. With no
-  // per-request deadlines or priorities the EDF order reduces to the seq
-  // tie-break, i.e. plain FIFO.
+  // lane stays null: the shared global pool. With no per-request deadlines
+  // or priorities the EDF order reduces to the seq tie-break, i.e. plain
+  // FIFO.
   return dopts;
 }
 

@@ -14,9 +14,8 @@
 // DynamicBatcher is the FIFO face of the batching engine: it delegates to
 // shard::DeadlineBatcher configured with no deadlines, no priorities and no
 // execution lane - which degenerates to exactly FIFO coalescing on the
-// shared global pool under the process-wide execution lock. One
-// implementation, two surfaces; the scheduling-aware surface lives in
-// shard/deadline_batcher.hpp.
+// shared global pool. One implementation, two surfaces; the
+// scheduling-aware surface lives in shard/deadline_batcher.hpp.
 #pragma once
 
 #include <chrono>
@@ -60,10 +59,9 @@ void validate_batcher_options(const BatcherOptions& opts);
 class DynamicBatcher {
  public:
   /// `model` must outlive the batcher. All DynamicBatchers in the process
-  /// share one execution lock around CompiledModel::run (they execute on the
-  /// global thread pool, which stands in for a single GPU, and its
-  /// run_chunks is non-reentrant). Throws std::invalid_argument on invalid
-  /// `opts`.
+  /// execute on the global thread pool, which stands in for a single GPU
+  /// and serializes their kernel launches. Throws std::invalid_argument on
+  /// invalid `opts`.
   DynamicBatcher(CompiledModel& model, BatcherOptions opts = {});
 
   DynamicBatcher(const DynamicBatcher&) = delete;

@@ -206,20 +206,14 @@ void DeadlineBatcher::answer(std::deque<serve::Request>& batch,
     shed.clear();
   }
   if (batch.empty()) return;
-  if (lane_ != nullptr) {
-    // Private lane: bind it so every kernel the plan launches lands on this
-    // replica's threads. No process-wide execution lock - lanes are
-    // independent devices.
-    device::PoolScope scope(*lane_);
-    core_.execute(batch, [this](const Tensor& images) {
-      return core_.model().run(images);
-    });
-  } else {
-    core_.execute(batch, [this](const Tensor& images) {
-      std::lock_guard<std::mutex> lock(serve::execution_mutex());
-      return core_.model().run(images);
-    });
-  }
+  // A private lane is bound so every kernel the plan launches lands on this
+  // replica's threads; without one the plan runs on the caller's pool. The
+  // pool serializes launches itself.
+  device::PoolScope scope(lane_ != nullptr ? *lane_
+                                           : device::ThreadPool::current());
+  core_.execute(batch, [this](const Tensor& images) {
+    return core_.model().run(images);
+  });
   outstanding_.fetch_sub(static_cast<int64_t>(batch.size()),
                          std::memory_order_relaxed);
   batch.clear();

@@ -19,10 +19,10 @@
 //
 // Execution lane: when constructed with a lane ThreadPool the batcher binds
 // it (device::PoolScope) around every CompiledModel::run, so its kernels
-// execute on the lane's threads and DO NOT take the process-wide execution
-// lock - this is what lets shard::ReplicaSet run R replicas genuinely
-// concurrently. Without a lane it behaves like DynamicBatcher: global pool,
-// global execution lock.
+// execute on the lane's threads instead of queueing for the shared global
+// pool - this is what lets shard::ReplicaSet run R replicas genuinely
+// concurrently. Without a lane it behaves like DynamicBatcher: its kernels
+// take turns with every other launch on the global pool.
 #pragma once
 
 #include <chrono>
@@ -47,9 +47,8 @@ struct DeadlineBatcherOptions {
   /// Bounded queue: submit() throws serve::QueueFull once this many
   /// requests wait. 0 = unbounded.
   int64_t queue_capacity = 0;
-  /// Execution lane; kernels run on this pool under a device::PoolScope and
-  /// skip the process-wide execution lock. Must outlive the batcher.
-  /// nullptr = shared global pool + execution lock.
+  /// Execution lane; kernels run on this pool under a device::PoolScope.
+  /// Must outlive the batcher. nullptr = shared global pool.
   device::ThreadPool* lane = nullptr;
   /// No worker thread; the owner forms/executes batches via drain_one()
   /// (deterministic tests, external event loops). stop() drains whatever is

@@ -2,9 +2,8 @@
 //
 // Umbrella header. The subsystem serves one logical model from R
 // independent CompiledModel replicas, each with its own micro-batcher and
-// its own partition of the host thread pool ("execution lanes"), replacing
-// the serving tier's process-wide execution lock with genuine replica
-// concurrency - the serving-side counterpart of the paper's Fig. 14
+// its own partition of the host thread pool ("execution lanes"), so
+// replicas run concurrently instead of taking turns on the global pool - the serving-side counterpart of the paper's Fig. 14
 // multi-GPU data-parallel scaling. Three pieces:
 //
 //   ReplicaSet      (shard/replica_set.hpp)      - compiles/clones the

@@ -361,6 +361,24 @@ TEST(SccDeterminism, ForwardAndBackwardAreBitStable) {
   EXPECT_FLOAT_EQ(max_abs_diff(g1.dweight, g2.dweight), 0.0f);
 }
 
+TEST(SccDeterminism, InputCentricBackwardBitIdenticalAcrossPools) {
+  // Training shape (C = 8, N = 32, 32x32): every backward launch is large
+  // enough to be chunked, and one thread or four give the same bits.
+  const SCCConfig cfg = make_cfg(8, 16, 2, 0.5);
+  ChannelWindowMap map(cfg);
+  Rng rng(431);
+  const Tensor in = random_uniform(make_nchw(32, 8, 32, 32), rng);
+  const Tensor w = random_uniform(Shape{16, 4}, rng);
+  const Tensor dout = random_uniform(scc_output_shape(in.shape(), map), rng);
+  const auto [serial, parallel] = testing::serial_and_parallel(
+      {"scc_dweight", "scc_dinput_input_centric"}, [&] {
+        return scc_backward_input_centric(in, w, dout, map, true, true);
+      });
+  EXPECT_TRUE(testing::bit_identical(serial.dinput, parallel.dinput));
+  EXPECT_TRUE(testing::bit_identical(serial.dweight, parallel.dweight));
+  EXPECT_TRUE(testing::bit_identical(serial.dbias, parallel.dbias));
+}
+
 // ---- memory: channel-cyclic optimization (paper Fig. 10 mechanism) ---------------
 
 TEST(SccMemory, CyclicOptReducesConvStackPeak) {

@@ -16,6 +16,7 @@
 #include "quant/quant_layers.hpp"
 #include "tensor/random.hpp"
 #include "tensor/tensor_ops.hpp"
+#include "testing_utils.hpp"
 
 namespace dsx {
 namespace {
@@ -117,8 +118,10 @@ TEST(Checkpoint, RoundTripsModelsWithParameterFreeLayers) {
   nn::load_checkpoint_file(*target, path);
   std::remove(path.c_str());
 
-  // Checkpoints carry parameters (not BN running buffers), so compare
-  // training-mode outputs, which depend only on parameters + batch stats.
+  // Checkpoints carry parameters and BN running statistics, so eval-mode
+  // outputs match, and so do training-mode ones (parameters + batch stats).
+  EXPECT_TRUE(testing::bit_identical(source->forward(x, false),
+                                     target->forward(x, false)));
   const Tensor a = source->forward(x, true);
   const Tensor b = target->forward(x, true);
   EXPECT_LT(max_abs_diff(a, b), 1e-6f);

@@ -172,6 +172,32 @@ TEST(ModelStore, SaveLoadRoundTripRestoresPredictions) {
   }
 }
 
+TEST(ModelStore, CalibratedBatchNormStatisticsSurviveTheStore) {
+  ModelStore store(fresh_dir("store_bn_stats"));
+  const ArchSpec spec = tiny_spec(29);
+  auto net = build_architecture(spec);
+  // Calibrate: training-mode forwards move every BatchNorm's running
+  // statistics away from the builder's initial values.
+  Rng rng(30);
+  for (int step = 0; step < 4; ++step) {
+    (void)net->forward(
+        random_uniform(make_nchw(8, 3, kImage, kImage), rng, -1.0f, 1.0f),
+        /*training=*/true);
+  }
+  store.save_version("mnet", "v1", *net, spec);
+
+  auto from_store = store.compile("mnet", "v1");
+  serve::CompiledModel in_memory(net->clone_sequential(), spec.image_shape());
+  serve::CompiledModel uncalibrated(build_architecture(spec),
+                                    spec.image_shape());
+  for (const Tensor& img : make_images(3, 31)) {
+    const Tensor want = in_memory.run(img).clone();
+    EXPECT_TRUE(bit_identical(from_store->run(img), want));
+    // The statistics matter: the builder's would answer differently.
+    EXPECT_FALSE(bit_identical(uncalibrated.run(img), want));
+  }
+}
+
 TEST(ModelStore, VersionsAreImmutableAndNamesValidated) {
   ModelStore store(fresh_dir("store_immutable"));
   const ArchSpec spec = tiny_spec(23);

@@ -2,8 +2,10 @@
 // atomics, kernel-launch logging and the virtual device group.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -88,7 +90,124 @@ TEST(ThreadPool, ReusableAcrossManyCalls) {
 }
 
 TEST(ThreadPool, GlobalPoolExists) {
-  EXPECT_GE(ThreadPool::global().size(), 1u);
+  EXPECT_GE(ThreadPool::global().size(), 1);
+}
+
+TEST(ThreadPool, ConcurrentLaunchersTakeTurns) {
+  // K threads launch onto one pool at once: the pool serializes them, and
+  // every launch still covers its range exactly once.
+  constexpr int kThreads = 6, kLaunches = 40;
+  constexpr int64_t kRange = 2048;
+  ThreadPool pool(4);
+  std::vector<std::vector<std::atomic<int>>> hits(kThreads);
+  for (auto& h : hits) h = std::vector<std::atomic<int>>(kRange);
+  std::vector<std::thread> launchers;
+  for (int t = 0; t < kThreads; ++t) {
+    launchers.emplace_back([&, t] {
+      PoolScope scope(pool);
+      for (int l = 0; l < kLaunches; ++l) {
+        parallel_for(
+            kRange,
+            [&](int64_t i) { hits[t][static_cast<size_t>(i)]++; },
+            /*grain=*/1);
+      }
+    });
+  }
+  for (auto& th : launchers) th.join();
+  for (const auto& h : hits) {
+    for (const auto& count : h) ASSERT_EQ(count.load(), kLaunches);
+  }
+}
+
+TEST(ThreadPool, NestedLaunchRunsInlineOnTheChunkThread) {
+  ThreadPool pool(4);
+  PoolScope scope(pool);
+  constexpr int64_t kOuter = 8, kInner = 64;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  std::atomic<int> off_thread{0};
+  parallel_for_chunks(
+      kOuter,
+      [&](int64_t b, int64_t e) {
+        const auto owner = std::this_thread::get_id();
+        for (int64_t o = b; o < e; ++o) {
+          // A launch from inside a chunk of the same pool: it must neither
+          // deadlock on the launch mutex nor queue behind its own parent.
+          launch_kernel_chunks_modeled(
+              "nested", kInner, kInner, {1e6, 0.0},
+              [&](int64_t ib, int64_t ie) {
+                if (std::this_thread::get_id() != owner) off_thread++;
+                for (int64_t i = ib; i < ie; ++i) {
+                  hits[static_cast<size_t>(o * kInner + i)]++;
+                }
+              });
+        }
+      },
+      /*grain=*/1);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(off_thread.load(), 0);
+}
+
+TEST(ThreadPool, NestedLaunchExceptionPropagates) {
+  ThreadPool pool(3);
+  PoolScope scope(pool);
+  EXPECT_THROW(parallel_for_chunks(
+                   6,
+                   [&](int64_t, int64_t) {
+                     parallel_for_chunks(
+                         6, [](int64_t, int64_t) { DSX_REQUIRE(false, "boom"); },
+                         /*grain=*/1);
+                   },
+                   /*grain=*/1),
+               Error);
+  // The pool is still usable afterwards.
+  std::atomic<int64_t> n{0};
+  parallel_for(100, [&](int64_t) { n++; }, /*grain=*/1);
+  EXPECT_EQ(n.load(), 100);
+}
+
+// ---- work-sized launches ----------------------------------------------------------
+
+/// Chunks a launch of `exec_range` iterations with per-thread `costs` over
+/// `model_threads` was split into on a 4-thread pool: 1 when it ran on the
+/// calling thread, one per pool thread when it went to the pool.
+int launch_chunks(int64_t exec_range, int64_t model_threads,
+                  const KernelCosts& costs) {
+  ThreadPool pool(4);
+  PoolScope scope(pool);
+  std::atomic<int> chunks{0};
+  launch_kernel_chunks_modeled("probe", exec_range, model_threads, costs,
+                               [&](int64_t, int64_t) { chunks++; });
+  return chunks.load();
+}
+
+TEST(WorkSizedLaunch, SmallElementwiseLaunchStaysOnCaller) {
+  // A 1024-element ReLU: 1024 iterations, but ~3K units of modeled work.
+  EXPECT_LT(modeled_work(1024, {1.0, 8.0}), kWorkGrain);
+  EXPECT_EQ(launch_chunks(1024, 1024, {1.0, 8.0}), 1);
+}
+
+TEST(WorkSizedLaunch, PerChannelLaunchReachesThePool) {
+  // 8 channels, each sweeping an N*H*W = 32*32*32 slab: few iterations, a
+  // lot of modeled work.
+  EXPECT_GE(modeled_work(8 * 32 * 32 * 32, {8.0, 16.0}), kWorkGrain);
+  EXPECT_EQ(launch_chunks(8, 8 * 32 * 32 * 32, {8.0, 16.0}), 4);
+}
+
+TEST(WorkSizedLaunch, GrainOverrideKeepsItsMeaning) {
+  {
+    GrainOverride serial(kSerialGrain);
+    EXPECT_EQ(launch_chunks(8, 8 * 32 * 32 * 32, {8.0, 16.0}), 1);
+  }
+  {
+    GrainOverride every(1);
+    EXPECT_EQ(launch_chunks(8, 8, {1.0, 8.0}), 4);
+  }
+  {
+    // A tuned grain compares against the iteration count, as before.
+    GrainOverride grain(16);
+    EXPECT_EQ(launch_chunks(8, 8 * 32 * 32 * 32, {8.0, 16.0}), 1);
+    EXPECT_EQ(launch_chunks(16, 16, {1.0, 8.0}), 4);
+  }
 }
 
 // ---- parallel_for -------------------------------------------------------------
@@ -186,7 +305,7 @@ TEST(KernelLog, RecordsLaunchesInsideScope) {
   KernelProfileScope scope;
   launch_kernel("test_kernel", 100, {3.0, 5.0}, [](int64_t) {});
   const auto records = scope.records();
-  ASSERT_EQ(records.size(), 1u);
+  ASSERT_EQ(records.size(), 1);
   EXPECT_EQ(records[0].name, "test_kernel");
   EXPECT_EQ(records[0].threads, 100);
   EXPECT_DOUBLE_EQ(records[0].flops_per_thread, 3.0);
@@ -205,7 +324,7 @@ TEST(KernelLog, ModeledThreadCountDiffersFromExecRange) {
   launch_kernel_chunks_modeled("gemm_like", /*exec=*/4, /*model=*/4096,
                                {2.0, 1.0}, [](int64_t, int64_t) {});
   const auto records = scope.records();
-  ASSERT_EQ(records.size(), 1u);
+  ASSERT_EQ(records.size(), 1);
   EXPECT_EQ(records[0].threads, 4096);
 }
 
@@ -351,9 +470,9 @@ TEST(PoolScope, CurrentDefaultsToGlobalAndBindsPerThread) {
 }
 
 TEST(PoolScope, ParallelForRunsOnBoundLane) {
-  // Two lanes execute parallel loops concurrently without touching the
-  // global pool's non-reentrant run_chunks: this is the property that lets
-  // shard replicas run without the process-wide execution lock.
+  // Two lanes execute parallel loops concurrently without queueing on the
+  // global pool: this is the property that lets shard replicas run
+  // genuinely concurrently.
   ThreadPool lane_a(2), lane_b(2);
   std::atomic<int64_t> sum{0};
   std::thread ta([&] {
@@ -432,8 +551,13 @@ TEST(PoolAccounting, IdlePoolAccumulatesIdleNotBusy) {
   pool.run_chunks(1, [](int64_t, int64_t) {});
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   // ...then a second dispatch forces every worker through the wait exit,
-  // banking the parked time into idle_ns.
+  // banking the parked time into idle_ns. run_chunks does not wait for
+  // workers that found no chunk left to claim, so the banking may land
+  // just after it returns.
   pool.run_chunks(1, [](int64_t, int64_t) {});
+  for (int i = 0; i < 200 && pool.idle_ns() <= 30'000'000; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   EXPECT_GT(pool.idle_ns(), 30'000'000);  // most of the 50ms park
   EXPECT_LT(pool.busy_ns(), 20'000'000);  // two trivial chunks only
 }

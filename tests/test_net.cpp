@@ -11,6 +11,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -64,6 +65,29 @@ std::unique_ptr<serve::CompiledModel> compile_spec(const deploy::ArchSpec& spec,
       deploy::build_architecture(spec), spec.image_shape(),
       serve::CompileOptions{.max_batch = max_batch});
 }
+
+// Held by a test to stall every model built with a StallLayer: the layer's
+// forward blocks on it, so a request stays in execution until the test lets
+// go.
+std::mutex& stall_mutex() {
+  static std::mutex mu;
+  return mu;
+}
+
+/// Pass-through layer whose forward waits for stall_mutex().
+class StallLayer final : public nn::Layer {
+ public:
+  Tensor forward(const Tensor& input, bool /*training*/) override {
+    std::lock_guard<std::mutex> wait(stall_mutex());
+    return input;
+  }
+  Tensor backward(const Tensor& doutput) override { return doutput; }
+  std::unique_ptr<nn::Layer> clone() const override {
+    return std::make_unique<StallLayer>();
+  }
+  Shape output_shape(const Shape& input) const override { return input; }
+  std::string name() const override { return "Stall"; }
+};
 
 Tensor make_image(uint64_t seed) {
   Rng rng(seed);
@@ -246,17 +270,50 @@ TEST(NetProtocol, PayloadRejectsHostileShapes) {
             Status::kBadRequest);
 }
 
+// ---- socket options --------------------------------------------------------
+
+int nodelay_of(int fd) {
+  int v = -1;
+  socklen_t len = sizeof(v);
+  EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &v, &len), 0);
+  return v;
+}
+
+TEST(SocketIo, SetNodelayTurnsNagleOff) {
+  const int listener = sockio::listen_tcp("127.0.0.1", 0);
+  const int client = sockio::connect_tcp("127.0.0.1",
+                                         sockio::bound_port(listener),
+                                         std::chrono::milliseconds(5000));
+  const int accepted = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(accepted, 0);
+  EXPECT_EQ(nodelay_of(accepted), 0) << "Nagle is on by default";
+  sockio::set_nodelay(accepted);
+  EXPECT_NE(nodelay_of(accepted), 0);
+  ::close(accepted);
+  ::close(client);
+  ::close(listener);
+  EXPECT_THROW(sockio::set_nodelay(-1), Error);
+}
+
 // ---- wire robustness -------------------------------------------------------
 
-/// One server + one registered model + one running ingress.
+/// One server + one registered model (ending in a StallLayer) + one running
+/// ingress.
 struct WireRig {
   serve::InferenceServer server;
   std::unique_ptr<IngressServer> ingress;
 
   explicit WireRig(IngressOptions opts = {}, int64_t max_batch = 4,
                    serve::BatcherOptions bopts = {}) {
-    server.register_model("mnet", compile_spec(tiny_spec(11), max_batch),
-                          bopts);
+    const deploy::ArchSpec spec = tiny_spec(11);
+    auto net = deploy::build_architecture(spec);
+    net->emplace<StallLayer>();
+    server.register_model(
+        "mnet",
+        std::make_unique<serve::CompiledModel>(
+            std::move(net), spec.image_shape(),
+            serve::CompileOptions{.max_batch = max_batch}),
+        bopts);
     ingress = std::make_unique<IngressServer>(server, std::move(opts));
     ingress->start();
   }
@@ -419,7 +476,7 @@ TEST(NetWire, DisconnectMidReplyNeverLeaksOrCrashes) {
   {
     // Stall execution so the reply is guaranteed to complete only after the
     // peer is gone.
-    std::unique_lock<std::mutex> stall(serve::execution_mutex());
+    std::unique_lock<std::mutex> stall(stall_mutex());
     const int fd = sockio::connect_tcp("127.0.0.1", rig.port(),
                                        std::chrono::milliseconds(5000));
     ASSERT_TRUE(sockio::send_all(
@@ -523,7 +580,7 @@ TEST(NetWire, AdmissionErrorsArriveAsFramedReplies) {
   Client client = rig.client();
   std::vector<uint64_t> ids;
   {
-    std::unique_lock<std::mutex> stall(serve::execution_mutex());
+    std::unique_lock<std::mutex> stall(stall_mutex());
     for (int i = 0; i < 4; ++i) {
       ids.push_back(client.send("mnet", make_image(40 + i)));
     }
@@ -551,7 +608,7 @@ TEST(NetWire, ExpiredDeadlineComesBackTyped) {
   uint64_t blocked_id = 0;
   uint64_t doomed_id = 0;
   {
-    std::unique_lock<std::mutex> stall(serve::execution_mutex());
+    std::unique_lock<std::mutex> stall(stall_mutex());
     blocked_id = client.send("mnet", make_image(50));
     // Give the first request time to enter execution (and block).
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -593,7 +650,7 @@ TEST(NetTenant, QuotaRejectsTypedWithoutDroppingConnection) {
   Client client = rig.client("tok-a");  // max_inflight = 1
   uint64_t first = 0, second = 0;
   {
-    std::unique_lock<std::mutex> stall(serve::execution_mutex());
+    std::unique_lock<std::mutex> stall(stall_mutex());
     first = client.send("mnet", make_image(4));
     second = client.send("mnet", make_image(5));
     // The second frame is parsed while the first is still in flight; the

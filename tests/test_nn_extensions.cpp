@@ -2,7 +2,9 @@
 // checkpoints and the no-cycle-table SCC forward ablation.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include "common/check.hpp"
 #include "core/scc_kernels.hpp"
@@ -16,6 +18,7 @@
 #include "nn/trainer.hpp"
 #include "quant/quant_layers.hpp"
 #include "tensor/tensor_ops.hpp"
+#include "testing_utils.hpp"
 
 namespace dsx::nn {
 namespace {
@@ -187,6 +190,49 @@ TEST(Checkpoint, RejectsShapeMismatch) {
   std::stringstream blob;
   save_checkpoint(a, blob);
   EXPECT_THROW(load_checkpoint(b, blob), Error);
+}
+
+TEST(Checkpoint, RoundTripCarriesBatchNormRunningStatistics) {
+  auto src = make_ckpt_model(21);
+  auto dst = make_ckpt_model(21);  // same params, initial statistics
+  Rng rng(7);
+  (void)src->forward(random_uniform(make_nchw(4, 3, 8, 8), rng), true);
+  const Tensor x = random_uniform(make_nchw(2, 3, 8, 8), rng);
+  const Tensor want = src->forward(x, false);
+  ASSERT_GT(max_abs_diff(dst->forward(x, false), want), 1e-4f);
+
+  std::stringstream blob;
+  save_checkpoint(*src, blob);
+  load_checkpoint(*dst, blob);
+  EXPECT_TRUE(testing::bit_identical(dst->forward(x, false), want));
+}
+
+TEST(Checkpoint, RejectsVersion1FormatWithAClearError) {
+  // Version 1: magic "DSXC", then parameters only. Reading it as current
+  // would serve the builder's BatchNorm statistics, so it is refused.
+  auto model = make_ckpt_model(21);
+  std::stringstream blob;
+  blob.write("DSXC", 4);
+  const uint64_t count = model->params().size();
+  blob.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  try {
+    load_checkpoint(*model, blob);
+    FAIL() << "version-1 checkpoint accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Checkpoint, RejectsForeignVersion) {
+  auto model = make_ckpt_model(21);
+  std::stringstream blob;
+  save_checkpoint(*model, blob);
+  std::string bytes = blob.str();
+  const int64_t future = 99;
+  std::memcpy(bytes.data() + 4, &future, sizeof(future));
+  std::stringstream tampered(bytes);
+  EXPECT_THROW(load_checkpoint(*model, tampered), Error);
 }
 
 TEST(Checkpoint, RejectsGarbage) {

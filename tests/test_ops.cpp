@@ -572,5 +572,86 @@ TEST(Xent, ValidatesLabels) {
   EXPECT_THROW(softmax_cross_entropy(logits, short_labels), Error);
 }
 
+// ---- work-sized launches: chunking never changes results ------------------
+//
+// At training shapes (C = 8, N = 32, 32x32) the per-channel and small-M
+// kernels carry enough modeled work to be chunked across a pool; each must
+// produce the same bits on 1 thread and on 4.
+
+TEST(WorkSizedLaunch, BatchNormForwardBackwardBitIdenticalAcrossPools) {
+  Rng rng(401);
+  const Tensor in = random_uniform(make_nchw(32, 8, 32, 32), rng, -2.0f, 3.0f);
+  const Tensor dout = random_uniform(in.shape(), rng);
+  struct Run {
+    Tensor out, running_mean, running_var;
+    BatchNormGrads grads;
+  };
+  const auto [serial, parallel] = testing::serial_and_parallel(
+      {"batchnorm_fwd", "batchnorm_bwd"}, [&] {
+        BatchNormState state = BatchNormState::create(8);
+        BatchNormCache cache;
+        Run r;
+        r.out = batchnorm_forward(in, state, &cache, /*training=*/true);
+        r.grads = batchnorm_backward(dout, state, cache);
+        r.running_mean = state.running_mean;
+        r.running_var = state.running_var;
+        return r;
+      });
+  EXPECT_TRUE(testing::bit_identical(serial.out, parallel.out));
+  EXPECT_TRUE(testing::bit_identical(serial.running_mean,
+                                     parallel.running_mean));
+  EXPECT_TRUE(testing::bit_identical(serial.running_var, parallel.running_var));
+  EXPECT_TRUE(testing::bit_identical(serial.grads.dinput, parallel.grads.dinput));
+  EXPECT_TRUE(testing::bit_identical(serial.grads.dgamma, parallel.grads.dgamma));
+  EXPECT_TRUE(testing::bit_identical(serial.grads.dbeta, parallel.grads.dbeta));
+}
+
+TEST(WorkSizedLaunch, DepthwiseBackwardBitIdenticalAcrossPools) {
+  Rng rng(409);
+  const Tensor in = random_uniform(make_nchw(32, 8, 32, 32), rng);
+  const Tensor w = random_uniform(Shape{8, 1, 3, 3}, rng);
+  const DepthwiseArgs args{1, 1};
+  const Tensor dout = random_uniform(in.shape(), rng);
+  const auto [serial, parallel] = testing::serial_and_parallel(
+      {"dw_dweight", "dw_dinput"}, [&] {
+        return depthwise_backward(in, w, dout, args, /*need_dinput=*/true,
+                                  /*has_bias=*/true);
+      });
+  EXPECT_TRUE(testing::bit_identical(serial.dinput, parallel.dinput));
+  EXPECT_TRUE(testing::bit_identical(serial.dweight, parallel.dweight));
+  EXPECT_TRUE(testing::bit_identical(serial.dbias, parallel.dbias));
+}
+
+TEST(WorkSizedLaunch, SmallMGemmBitIdenticalAcrossPools) {
+  // M = 8 rows: under an iteration-count rule this never left the caller.
+  Rng rng(419);
+  const Tensor a = random_uniform(Shape{8, 72}, rng);
+  const Tensor b = random_uniform(Shape{72, 1024}, rng);
+  const auto [serial, parallel] = testing::serial_and_parallel({"gemm"}, [&] {
+    Tensor c(Shape{8, 1024});
+    gemm(false, false, 8, 1024, 72, 1.0f, a.data(), 72, b.data(), 1024, 0.0f,
+         c.data(), 1024);
+    return c;
+  });
+  EXPECT_TRUE(testing::bit_identical(serial, parallel));
+}
+
+TEST(WorkSizedLaunch, XentLossIndependentOfChunking) {
+  // Force chunking of the (small) xent launch with a grain override: the
+  // loss is summed in row order however the rows were split.
+  Rng rng(421);
+  const Tensor logits = random_uniform(Shape{64, 10}, rng, -3.0f, 3.0f);
+  std::vector<int32_t> labels(64);
+  for (size_t i = 0; i < labels.size(); ++i) {
+    labels[i] = static_cast<int32_t>((i * 7) % 10);
+  }
+  const auto [serial, parallel] = testing::serial_and_parallel({}, [&] {
+    device::GrainOverride every_launch(1);
+    return softmax_cross_entropy(logits, labels);
+  });
+  EXPECT_EQ(serial.loss, parallel.loss);
+  EXPECT_TRUE(testing::bit_identical(serial.dlogits, parallel.dlogits));
+}
+
 }  // namespace
 }  // namespace dsx

@@ -305,6 +305,62 @@ TEST(InferenceServer, ConcurrentClientsEachAnsweredExactlyOnce) {
   EXPECT_LE(stats.batcher.latency.p50_ms, stats.batcher.latency.p99_ms);
 }
 
+TEST(InferenceServer, CompileAndTuneWhileAnotherModelServes) {
+  // Compiling launches dry runs, and kTune launches timed candidates, on the
+  // global pool while another model's batcher launches onto the same pool.
+  // The pool serializes the launches itself: no lock on either side, no
+  // abort, and the served answers stay bit-identical.
+  auto served = make_scc_model(141);
+  warm_up(*served, 142);
+  auto compiled = std::make_unique<CompiledModel>(
+      std::move(served), Shape{3, kImage, kImage},
+      CompileOptions{.max_batch = 4});
+  const auto images = make_images(8, 143);
+  const auto refs = per_image_reference(*compiled, images);
+
+  InferenceServer server;
+  server.register_model("served", std::move(compiled),
+                        {.max_batch = 4,
+                         .max_delay = std::chrono::microseconds(200)});
+
+  std::atomic<bool> compiling{true};
+  std::atomic<int> answered{0};
+  std::atomic<int> mismatched{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 3; ++t) {
+    clients.emplace_back([&, t] {
+      for (size_t k = static_cast<size_t>(t);
+           compiling.load() || answered.load() < 16; ++k) {
+        const size_t j = k % images.size();
+        if (!bit_identical(server.infer("served", images[j]), refs[j])) {
+          mismatched.fetch_add(1);
+        }
+        answered.fetch_add(1);
+      }
+    });
+  }
+
+  for (uint64_t seed : {151u, 152u}) {
+    auto other = make_scc_model(seed);
+    warm_up(*other, seed + 10);
+    CompiledModel tuned(std::move(other), Shape{3, kImage, kImage},
+                        CompileOptions{.max_batch = 8,
+                                       .tuning = tune::Mode::kTune,
+                                       .tuner = {.warmup = 1, .iters = 2}});
+    EXPECT_FALSE(tuned.report().tuned.empty());
+    const auto own = make_images(2, seed + 20);
+    for (const Tensor& img : own) {
+      EXPECT_TRUE(bit_identical(
+          tuned.run(img), tuned.model().forward(img, /*training=*/false)));
+    }
+  }
+  compiling.store(false);
+  for (auto& c : clients) c.join();
+
+  EXPECT_GE(answered.load(), 16);
+  EXPECT_EQ(mismatched.load(), 0);
+}
+
 TEST(InferenceServer, ServesQuantizedSCCModelBitIdentical) {
   constexpr int kClients = 4;
   auto model = make_scc_model(91);

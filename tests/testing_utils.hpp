@@ -6,11 +6,16 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
+#include "device/launch.hpp"
+#include "device/parallel_for.hpp"
+#include "device/thread_pool.hpp"
 #include "tensor/random.hpp"
 #include "tensor/tensor.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -23,6 +28,41 @@ inline bool bit_identical(const Tensor& a, const Tensor& b) {
   if (a.shape() != b.shape()) return false;
   return std::memcmp(a.data(), b.data(),
                      static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+/// Runs fn() on a 1-thread pool and then on a 4-thread pool, each bound with
+/// device::PoolScope, and returns both results (serial first). Every launch
+/// named in `parallel_kernels` must carry enough modeled work for the
+/// work-sized launch rule to chunk it across the 4 threads, so comparing the
+/// results really checks that chunking leaves float evaluation order alone.
+template <typename Fn>
+auto serial_and_parallel(const std::vector<std::string>& parallel_kernels,
+                         Fn&& fn) {
+  using Result = decltype(fn());
+  device::ThreadPool one(1), four(4);
+  Result serial = [&] {
+    device::PoolScope scope(one);
+    return fn();
+  }();
+  device::KernelProfileScope profile;
+  Result parallel = [&] {
+    device::PoolScope scope(four);
+    return fn();
+  }();
+  const std::vector<device::KernelRecord> records = profile.records();
+  for (const std::string& kernel : parallel_kernels) {
+    int launches = 0;
+    for (const device::KernelRecord& r : records) {
+      if (r.name != kernel) continue;
+      ++launches;
+      EXPECT_GE(device::modeled_work(
+                    r.threads, {r.flops_per_thread, r.bytes_per_thread}),
+                device::kWorkGrain)
+          << kernel << " would run serially";
+    }
+    EXPECT_GT(launches, 0) << kernel << " was not launched";
+  }
+  return std::pair<Result, Result>(std::move(serial), std::move(parallel));
 }
 
 /// Distance between two floats in units in the last place: the number of
